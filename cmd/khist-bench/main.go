@@ -424,8 +424,8 @@ func printServerLatency(w io.Writer, snap *obs.LatencySnapshot, results []Result
 		fmt.Fprintln(w, "server    no learned histogram yet (stream below the learner's minimum)")
 		return
 	}
-	fmt.Fprintf(w, "server    learned latency histogram (k=%d -> %d pieces, err_l2=%.3g, %d of %d observations held):\n",
-		snap.K, snap.LearnedK, snap.ErrL2, snap.Samples, snap.SamplesSeen)
+	fmt.Fprintf(w, "server    learned latency histogram (k=%d -> %d pieces, err_l2=%.3g, over all %d observations):\n",
+		snap.K, snap.LearnedK, snap.ErrL2, snap.Count)
 	for _, p := range snap.Pieces {
 		bar := strings.Repeat("#", int(p.Mass*40+0.5))
 		fmt.Fprintf(w, "  [%10dus, %10dus) %6.1f%% %s\n", p.LoUS, p.HiUS, p.Mass*100, bar)

@@ -1,22 +1,20 @@
 // Package obs is the serving stack's self-measurement plane: a
 // lock-cheap metrics registry (atomic counters, callback gauges, and
-// sharded latency recorders) rendered as Prometheus text on GET /metrics
-// and summarized in /v1/stats.
+// lock-free latency recorders) rendered as Prometheus text on GET
+// /metrics and summarized in /v1/stats.
 //
 // The centerpiece closes the loop on the source paper: each latency
-// Recorder feeds its observations into bounded internal/stream sketches
-// (a uniform reservoir plus a Greenwald-Khanna quantile summary, sharded
-// so the hot path never contends on one lock), and a periodic snapshot
-// tabulates the reservoir into an empirical distribution and runs the
-// repo's own k-bucket v-optimal learner (internal/learn) over it. The
-// system's observability layer is the paper's algorithm applied to the
-// system itself.
+// Recorder keeps exact atomic counts over a 200-bucket HDR-style
+// latency domain, and a periodic snapshot turns the counts into the
+// bucket distribution and fits its optimal k-piece histogram under the
+// paper's v-optimal (squared l2) criterion with the exact DP of
+// internal/vopt. The system's observability layer is the paper's
+// objective applied to the system itself.
 //
-// Hot-path cost discipline: counters are single atomic adds; recorders
-// are a handful of atomic adds plus one short per-shard critical section
-// feeding the sketches; nothing on the hot path allocates in steady
-// state. All tabulation, merging, and learning happens on the snapshot
-// path, off the request path.
+// Hot-path cost discipline: counters are single atomic adds; a recorder
+// observation is one bucket add, one sum add, and a max CAS, with no
+// locks and no allocation. All quantile, cumulative-count, and
+// histogram work happens on the snapshot path, off the request path.
 package obs
 
 import (

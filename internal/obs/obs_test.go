@@ -1,10 +1,14 @@
 package obs
 
 import (
+	"fmt"
 	"strings"
 	"sync"
 	"testing"
 	"time"
+
+	"khist/internal/dist"
+	"khist/internal/vopt"
 )
 
 func TestLatencyBucketScale(t *testing.T) {
@@ -99,10 +103,10 @@ func TestRegistryRender(t *testing.T) {
 func TestRecorderSnapshotAndLearn(t *testing.T) {
 	reg := NewRegistry()
 	rec := reg.Recorder("khist_test_latency", "test latency",
-		RecorderOptions{Learned: true, Seed: 42})
+		RecorderOptions{Learned: true})
 
 	// A cleanly bimodal latency population: 3/4 fast (~100us), 1/4 slow
-	// (~50ms). The learner should recover the two modes.
+	// (~50ms). The optimal 4-piece histogram must show both modes.
 	for i := 0; i < 4000; i++ {
 		if i%4 == 0 {
 			rec.Observe(50 * time.Millisecond)
@@ -135,10 +139,9 @@ func TestRecorderSnapshotAndLearn(t *testing.T) {
 		t.Errorf("mean = %vus, want ~12575us", snap.MeanUS)
 	}
 
-	// The learned histogram exists, has <= k pieces... (FastGreedy may
-	// produce up to O(k) pieces; just require some and a sane mass sum).
-	if len(snap.Pieces) == 0 {
-		t.Fatal("learned recorder produced no pieces")
+	// The learned histogram exists, has <= k pieces and a sane mass sum.
+	if len(snap.Pieces) == 0 || len(snap.Pieces) > 4 {
+		t.Fatalf("learned recorder produced %d pieces, want 1..4", len(snap.Pieces))
 	}
 	var mass, fastMass, slowMass float64
 	for _, p := range snap.Pieces {
@@ -146,7 +149,7 @@ func TestRecorderSnapshotAndLearn(t *testing.T) {
 		if p.HiUS <= 1000 {
 			fastMass += p.Mass
 		}
-		if p.LoUS >= 10000 {
+		if p.HiUS > 10000 {
 			slowMass += p.Mass
 		}
 	}
@@ -160,9 +163,10 @@ func TestRecorderSnapshotAndLearn(t *testing.T) {
 	if slowMass < 0.1 {
 		t.Errorf("slow mode mass = %v, want ~0.25", slowMass)
 	}
-	// Learn error on a 2-mode population with k=4 should be tiny.
-	if snap.ErrL2 > 0.01 {
-		t.Errorf("ErrL2 = %v", snap.ErrL2)
+	// Two spikes need 5 pieces to fit exactly; with 4 the optimum spreads
+	// the 0.25 spike over a piece of width w, costing 0.25^2 * (1 - 1/w).
+	if snap.ErrL2 <= 0 || snap.ErrL2 >= 0.25*0.25 {
+		t.Errorf("ErrL2 = %v, want in (0, 0.0625)", snap.ErrL2)
 	}
 
 	// Pieces tile [0, something] with monotone boundaries.
@@ -213,7 +217,7 @@ func TestRecorderSmallStream(t *testing.T) {
 }
 
 func TestRecorderConcurrent(t *testing.T) {
-	rec := NewRecorder("r", "h", RecorderOptions{Learned: true, Seed: 1})
+	rec := NewRecorder("r", "h", RecorderOptions{Learned: true})
 	var wg sync.WaitGroup
 	stop := make(chan struct{})
 	wg.Add(1)
@@ -249,7 +253,132 @@ func TestRecorderConcurrent(t *testing.T) {
 		t.Fatalf("Count = %d, want %d", rec.Count(), writers*perW)
 	}
 	snap := rec.Snapshot(3)
-	if snap.SamplesSeen != writers*perW {
-		t.Errorf("SamplesSeen = %d, want %d", snap.SamplesSeen, writers*perW)
+	if snap.Count != writers*perW {
+		t.Errorf("snapshot Count = %d, want %d", snap.Count, writers*perW)
+	}
+	if snap.CumLE[len(snap.CumLE)-1] != writers*perW {
+		t.Errorf("CumLE = %v, want every observation under the top le", snap.CumLE)
+	}
+}
+
+func TestRecorderExactQuantiles(t *testing.T) {
+	// 1000 observations whose nearest-rank quantiles land exactly on
+	// population boundaries: rank 500 is the last 10us observation, rank
+	// 900 the last 300us one, rank 990 the last 5ms one.
+	rec := NewRecorder("r", "h", RecorderOptions{})
+	pop := []struct {
+		us, n int64
+	}{{10, 500}, {300, 400}, {5000, 90}, {70000, 10}}
+	var sum int64
+	var all []int64
+	for _, p := range pop {
+		for i := int64(0); i < p.n; i++ {
+			rec.Observe(time.Duration(p.us) * time.Microsecond)
+			all = append(all, p.us)
+			sum += p.us
+		}
+	}
+	snap := rec.Snapshot(0)
+	for _, q := range []struct {
+		name    string
+		got, us int64
+	}{{"p50", snap.P50US, 10}, {"p90", snap.P90US, 300}, {"p99", snap.P99US, 5000}} {
+		if want := BucketLoUS(latencyBucket(q.us)); q.got != want {
+			t.Errorf("%s = %dus, want %dus (bucket of %dus)", q.name, q.got, want, q.us)
+		}
+	}
+	if snap.Count != 1000 || snap.MaxUS != 70000 || snap.MeanUS != float64(sum)/1000 {
+		t.Errorf("totals: count=%d max=%d mean=%v", snap.Count, snap.MaxUS, snap.MeanUS)
+	}
+	for i, le := range fixedLE {
+		var want int64
+		for _, us := range all {
+			if us <= le {
+				want++
+			}
+		}
+		if snap.CumLE[i] != want {
+			t.Errorf("CumLE[le=%d] = %d, want %d", le, snap.CumLE[i], want)
+		}
+	}
+}
+
+func TestRecorderCumLEEdges(t *testing.T) {
+	for i, le := range fixedLE {
+		if BucketLoUS(latencyBucket(le+1)) != le+1 {
+			t.Fatalf("le=%d: le+1 is not a bucket lower edge", le)
+		}
+		// An observation of exactly le counts in its own series and every
+		// wider one; le+1 only from the next series on.
+		for _, c := range []struct {
+			us    int64
+			first int
+		}{{le, i}, {le + 1, i + 1}} {
+			reg := NewRegistry()
+			rec := reg.Recorder("khist_edge", "h", RecorderOptions{})
+			rec.Observe(time.Duration(c.us) * time.Microsecond)
+			snap := rec.Snapshot(0)
+			var out strings.Builder
+			if err := reg.WritePrometheus(&out); err != nil {
+				t.Fatal(err)
+			}
+			for j, le2 := range fixedLE {
+				want := int64(0)
+				if j >= c.first {
+					want = 1
+				}
+				if snap.CumLE[j] != want {
+					t.Errorf("observe %dus: CumLE[le=%d] = %d, want %d", c.us, le2, snap.CumLE[j], want)
+				}
+				line := fmt.Sprintf("khist_edge_us_bucket{le=\"%d\"} %d\n", le2, want)
+				if !strings.Contains(out.String(), line) {
+					t.Errorf("observe %dus: render missing %q", c.us, line)
+				}
+			}
+		}
+	}
+}
+
+func TestRecorderLearnedIsVOptimal(t *testing.T) {
+	rec := NewRecorder("r", "h", RecorderOptions{Learned: true})
+	w := make([]float64, LatencyDomain)
+	for i := 0; i < 5000; i++ {
+		us := int64(40 + (i*37)%400)
+		if i%7 == 0 {
+			us = int64(3000 + (i*911)%60000)
+		}
+		rec.Observe(time.Duration(us) * time.Microsecond)
+		w[latencyBucket(us)]++
+	}
+	const k = 6
+	snap := rec.Snapshot(k)
+	p, err := dist.FromWeights(w)
+	if err != nil {
+		t.Fatal(err)
+	}
+	h, err := vopt.OptimalL2(p, k)
+	if err != nil {
+		t.Fatal(err)
+	}
+	bounds, values := h.Bounds(), h.Values()
+	if len(snap.Pieces) != len(values) || snap.LearnedK != len(values) {
+		t.Fatalf("learned %d pieces (LearnedK %d), DP has %d", len(snap.Pieces), snap.LearnedK, len(values))
+	}
+	for j, pc := range snap.Pieces {
+		want := LatencyPiece{
+			LoUS: BucketLoUS(bounds[j]),
+			HiUS: BucketLoUS(bounds[j+1]),
+			Mass: values[j] * float64(bounds[j+1]-bounds[j]),
+		}
+		if pc != want {
+			t.Errorf("piece %d = %+v, want %+v", j, pc, want)
+		}
+	}
+	wantErr, err := vopt.OptimalL2Error(p, k)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if snap.ErrL2 != wantErr {
+		t.Errorf("ErrL2 = %v, want OptimalL2Error %v", snap.ErrL2, wantErr)
 	}
 }

@@ -2,23 +2,22 @@ package obs
 
 import (
 	"fmt"
+	"math"
 	"math/bits"
-	"math/rand"
 	"strings"
 	"sync"
 	"sync/atomic"
 	"time"
 
 	"khist/internal/dist"
-	"khist/internal/learn"
-	"khist/internal/stream"
+	"khist/internal/vopt"
 )
 
 // The latency domain. Durations are mapped to a small discrete domain so
-// the k-histogram learner (whose running time scales with the number of
-// distinct sampled values) stays cheap enough to run in the background:
-// microsecond-exact buckets below 16us, then 8 sub-buckets per power of
-// two (HDR-histogram style, <= 12.5% relative width) up to ~134s. The
+// exact counts fit in one fixed array and the O(n^2 k) v-optimal DP
+// stays cheap enough to run in the background: microsecond-exact
+// buckets below 16us, then 8 sub-buckets per power of two
+// (HDR-histogram style, <= 12.5% relative width) up to ~134s. The
 // mapping is integer-only and monotone, so learned bucket boundaries
 // translate back to microsecond ranges exactly.
 const (
@@ -68,63 +67,30 @@ func BucketLoUS(b int) int64 {
 // BucketHiUS returns the exclusive microsecond upper edge of bucket b.
 func BucketHiUS(b int) int64 { return BucketLoUS(b + 1) }
 
-// RecorderOptions sizes a Recorder.
+// RecorderOptions configures a Recorder.
 type RecorderOptions struct {
-	// Shards is the number of independent sketch shards observations are
-	// spread over (round-robin); more shards mean less lock contention.
-	// Values below 1 mean 4.
-	Shards int
-	// ReservoirPerShard is each shard's reservoir capacity. Values below
-	// 1 mean 1024.
-	ReservoirPerShard int
 	// Learned marks the recorder for k-histogram learning: Snapshot runs
-	// the v-optimal learner over the merged reservoir and publishes the
-	// learned pieces. Non-learned recorders still publish counts, sums,
+	// the exact v-optimal DP over the bucket counts and publishes the
+	// optimal pieces. Non-learned recorders still publish counts, sums,
 	// and quantiles.
 	Learned bool
-	// Seed drives the per-shard reservoir rngs and the snapshot shuffle;
-	// it only affects which observations the bounded sketches retain,
-	// never any served response.
-	Seed int64
 }
 
-func (o RecorderOptions) withDefaults() RecorderOptions {
-	if o.Shards < 1 {
-		o.Shards = 4
-	}
-	if o.ReservoirPerShard < 1 {
-		o.ReservoirPerShard = 1024
-	}
-	return o
-}
-
-// recShard is one sketch shard: a bounded uniform reservoir and a GK
-// quantile summary over latency buckets, guarded by a short mutex.
-type recShard struct {
-	mu  sync.Mutex
-	res *stream.Reservoir
-	gk  *stream.GK
-}
-
-// Recorder measures one latency population. Observe is safe for
-// concurrent use and allocation-free in steady state: three atomic adds
-// plus one sharded critical section that feeds two bounded sketches.
-// Snapshot (periodic, off the hot path) merges the shards and, for
-// learned recorders, runs the k-bucket v-optimal learner over the merged
-// empirical latency distribution.
+// Recorder measures one latency population as exact per-bucket counts.
+// Observe is lock-free and allocation-free: one bucket add, one sum add,
+// and a max CAS. Snapshot (periodic, off the hot path) reads the counts
+// once and, for learned recorders, runs the exact k-piece v-optimal DP
+// over the bucket distribution.
 type Recorder struct {
 	name, help string
 	opts       RecorderOptions
 
-	count atomic.Int64
-	sumUS atomic.Int64
-	maxUS atomic.Int64
-	next  atomic.Uint64
-	sh    []*recShard
+	counts [LatencyDomain]atomic.Int64
+	sumUS  atomic.Int64
+	maxUS  atomic.Int64
 
 	// snapMu serializes snapshots; snap holds the latest result.
 	snapMu    sync.Mutex
-	snapRng   *rand.Rand
 	snap      atomic.Pointer[LatencySnapshot]
 	snapshots atomic.Int64
 
@@ -156,28 +122,21 @@ func (r *Recorder) LastExemplar() *Exemplar { return r.exemplar.Load() }
 // NewRecorder builds an unregistered recorder; most callers use
 // Registry.Recorder instead.
 func NewRecorder(name, help string, opts RecorderOptions) *Recorder {
-	opts = opts.withDefaults()
-	r := &Recorder{name: name, help: help, opts: opts,
-		snapRng: rand.New(rand.NewSource(opts.Seed ^ 0x7f4a7c15))}
-	for i := 0; i < opts.Shards; i++ {
-		rng := rand.New(rand.NewSource(opts.Seed + int64(i)*0x9e3779b9 + 1))
-		res, _ := stream.NewReservoir(opts.ReservoirPerShard, rng)
-		gk, _ := stream.NewGK(0.01)
-		r.sh = append(r.sh, &recShard{res: res, gk: gk})
-	}
-	return r
+	return &Recorder{name: name, help: help, opts: opts}
 }
 
 // Name returns the metric name the recorder renders under.
 func (r *Recorder) Name() string { return r.name }
 
 // Observe records one latency.
+//
+//khist:noalloc
 func (r *Recorder) Observe(d time.Duration) {
 	us := d.Microseconds()
 	if us < 0 {
 		us = 0
 	}
-	r.count.Add(1)
+	r.counts[latencyBucket(us)].Add(1)
 	r.sumUS.Add(us)
 	for {
 		old := r.maxUS.Load()
@@ -185,16 +144,16 @@ func (r *Recorder) Observe(d time.Duration) {
 			break
 		}
 	}
-	b := latencyBucket(us)
-	sh := r.sh[r.next.Add(1)%uint64(len(r.sh))]
-	sh.mu.Lock()
-	sh.res.Observe(b)
-	sh.gk.Insert(b)
-	sh.mu.Unlock()
 }
 
 // Count returns the number of observations.
-func (r *Recorder) Count() int64 { return r.count.Load() }
+func (r *Recorder) Count() int64 {
+	var n int64
+	for b := range r.counts {
+		n += r.counts[b].Load()
+	}
+	return n
+}
 
 // SumUS returns the summed observations in microseconds.
 func (r *Recorder) SumUS() int64 { return r.sumUS.Load() }
@@ -212,39 +171,35 @@ type LatencyPiece struct {
 
 // fixedLE is the fixed cumulative-bucket grid rendered on /metrics
 // (Prometheus needs stable le labels across scrapes), in microseconds.
-var fixedLE = []int64{250, 1000, 4000, 16000, 64000, 256000, 1024000, 4096000}
+// Every le sits just below a bucket edge (le+1 is a bucket's lower
+// edge), so each cumulative series is an exact count.
+var fixedLE = []int64{255, 1023, 4095, 16383, 65535, 262143, 1048575, 4194303}
 
-// LatencySnapshot is one tabulation of a recorder's sketches: stream
-// totals, GK quantiles, a fixed-boundary cumulative histogram, and — for
-// learned recorders — the k-histogram the v-optimal learner produced
-// from the merged reservoir.
+// LatencySnapshot is one read of a recorder's bucket counts: stream
+// totals, exact bucket quantiles, a fixed-boundary cumulative histogram,
+// and — for learned recorders — the v-optimal k-histogram of the bucket
+// distribution.
 type LatencySnapshot struct {
-	// Count/MeanUS/MaxUS describe the whole stream (exact atomics).
+	// Count/MeanUS/MaxUS describe the whole stream.
 	Count  int64   `json:"count"`
 	MeanUS float64 `json:"mean_us"`
 	MaxUS  int64   `json:"max_us"`
-	// P50US/P90US/P99US are GK quantile estimates (bucket lower edges;
-	// rank error ~1% of the stream, value error <= 12.5% from bucketing).
+	// P50US/P90US/P99US are exact nearest-rank quantiles, reported as
+	// the lower edge of the bucket holding that rank (value error
+	// <= 12.5% from bucketing).
 	P50US int64 `json:"p50_us"`
 	P90US int64 `json:"p90_us"`
 	P99US int64 `json:"p99_us"`
-	// CumLE[i] estimates how many observations were <= fixedLE[i] us,
-	// scaled from the merged reservoir to the stream count.
+	// CumLE[i] is how many observations were <= fixedLE[i] us.
 	CumLE []int64 `json:"-"`
-	// Samples is the merged reservoir size the learner (and CumLE) saw;
-	// SamplesSeen the stream length behind it.
-	Samples     int64 `json:"samples"`
-	SamplesSeen int64 `json:"samples_seen"`
-	// K is the requested piece budget; Pieces the learned histogram
-	// (empty when the reservoir was too small to learn), LearnedK its
-	// actual piece count, ErrL2 the squared l2 distance between the
-	// learned density and the merged empirical density, and SamplesUsed
-	// the learner's sample accounting.
-	K           int            `json:"k,omitempty"`
-	Pieces      []LatencyPiece `json:"pieces,omitempty"`
-	LearnedK    int            `json:"learned_k,omitempty"`
-	ErrL2       float64        `json:"err_l2,omitempty"`
-	SamplesUsed int64          `json:"samples_used,omitempty"`
+	// K is the requested piece budget; Pieces the optimal histogram
+	// (empty below minLearnSamples observations), LearnedK its piece
+	// count, and ErrL2 its squared l2 distance to the bucket
+	// distribution — the v-optimal error.
+	K        int            `json:"k,omitempty"`
+	Pieces   []LatencyPiece `json:"pieces,omitempty"`
+	LearnedK int            `json:"learned_k,omitempty"`
+	ErrL2    float64        `json:"err_l2,omitempty"`
 	// Snapshots counts snapshots taken over the recorder's lifetime.
 	Snapshots int64 `json:"snapshots"`
 }
@@ -252,113 +207,80 @@ type LatencySnapshot struct {
 // Latest returns the most recent snapshot, or nil before the first one.
 func (r *Recorder) Latest() *LatencySnapshot { return r.snap.Load() }
 
-// minLearnSamples is the smallest merged reservoir the learner runs on:
-// below it the snapshot still carries counts and quantiles, just no
-// learned histogram.
+// minLearnSamples is the smallest population the DP runs on: below it
+// the snapshot still carries counts and quantiles, just no learned
+// histogram.
 const minLearnSamples = 8
 
-// Snapshot merges the per-shard sketches into one view, runs the
-// k-bucket v-optimal learner over the merged empirical latency
-// distribution (learned recorders with at least minLearnSamples held
-// observations), stores the result as Latest, and returns it. It is
-// cheap relative to its period (the domain is LatencyDomain wide) and
-// runs entirely off the request path.
+// Snapshot reads the bucket counts once, derives the totals, quantiles,
+// and cumulative series from that read, runs the exact k-piece
+// v-optimal DP over the bucket distribution (learned recorders with at
+// least minLearnSamples observations), stores the result as Latest, and
+// returns it. It runs entirely off the request path.
 func (r *Recorder) Snapshot(k int) *LatencySnapshot {
 	r.snapMu.Lock()
 	defer r.snapMu.Unlock()
 
-	// Copy the sketch state out from under the shard locks quickly;
-	// merge and learn without holding any of them.
-	reservoirs := make([]*stream.Reservoir, len(r.sh))
-	var mergedGK *stream.GK
-	for i, sh := range r.sh {
-		sh.mu.Lock()
-		items := sh.res.Items()
-		seen := sh.res.Seen()
-		gk := sh.gk.Clone()
-		sh.mu.Unlock()
-		reservoirs[i] = stream.ReservoirView(items, seen)
-		if mergedGK == nil {
-			mergedGK = gk
-		} else {
-			mergedGK.Merge(gk)
-		}
+	counts := make([]int64, LatencyDomain)
+	var total int64
+	for b := range counts {
+		counts[b] = r.counts[b].Load()
+		total += counts[b]
 	}
-
 	snap := &LatencySnapshot{
-		Count:     r.count.Load(),
+		Count:     total,
 		MaxUS:     r.maxUS.Load(),
 		K:         k,
 		Snapshots: r.snapshots.Add(1),
 	}
-	if snap.Count > 0 {
-		snap.MeanUS = float64(r.sumUS.Load()) / float64(snap.Count)
-	}
-	if mergedGK != nil && mergedGK.N() > 0 {
-		snap.P50US = BucketLoUS(mergedGK.Query(0.50))
-		snap.P90US = BucketLoUS(mergedGK.Query(0.90))
-		snap.P99US = BucketLoUS(mergedGK.Query(0.99))
-	}
-
-	merged, err := stream.MergeReservoirs(len(r.sh)*r.opts.ReservoirPerShard, r.snapRng, reservoirs...)
-	if err != nil {
-		r.snap.Store(snap)
-		return snap
-	}
-	items := merged.Items()
-	snap.Samples = int64(len(items))
-	snap.SamplesSeen = merged.Seen()
-
-	if len(items) > 0 {
-		emp := dist.NewEmpirical(items, LatencyDomain)
-		cum := make([]int64, len(fixedLE))
+	if total > 0 {
+		snap.MeanUS = float64(r.sumUS.Load()) / float64(total)
+		snap.P50US = BucketLoUS(rankBucket(counts, total, 0.50))
+		snap.P90US = BucketLoUS(rankBucket(counts, total, 0.90))
+		snap.P99US = BucketLoUS(rankBucket(counts, total, 0.99))
+		snap.CumLE = make([]int64, len(fixedLE))
+		b, cum := 0, int64(0)
 		for i, le := range fixedLE {
-			// Bucket containing le: everything in buckets whose upper
-			// edge is <= le is definitely <= le.
-			b := latencyBucket(le)
-			frac := emp.FractionIn(dist.Interval{Lo: 0, Hi: b + 1})
-			cum[i] = int64(frac * float64(snap.Count))
+			for end := latencyBucket(le + 1); b < end; b++ {
+				cum += counts[b]
+			}
+			snap.CumLE[i] = cum
 		}
-		snap.CumLE = cum
 	}
-
-	if r.opts.Learned && len(items) >= minLearnSamples && k >= 1 {
-		r.learn(snap, items, k)
+	if r.opts.Learned && total >= minLearnSamples && k >= 1 {
+		learnOptimal(snap, counts, min(k, LatencyDomain))
 	}
 	r.snap.Store(snap)
 	return snap
 }
 
-// learn runs the repo's v-optimal k-histogram learner over the merged
-// reservoir items, dogfooding internal/learn as the latency summarizer.
-func (r *Recorder) learn(snap *LatencySnapshot, items []int, k int) {
-	// Split the held sample like stream.Maintainer does: half for weight
-	// estimates, the rest into r collision sets (adaptive so every set
-	// keeps at least a few items).
-	shuffled := append([]int(nil), items...)
-	r.snapRng.Shuffle(len(shuffled), func(i, j int) { shuffled[i], shuffled[j] = shuffled[j], shuffled[i] })
-	weights := shuffled[:len(shuffled)/2]
-	rest := shuffled[len(shuffled)/2:]
-	sets := len(rest) / 4
-	if sets < 1 {
-		sets = 1
+// rankBucket returns the bucket holding the nearest-rank phi-quantile:
+// the ceil(phi * total)-th smallest observation (at least the first).
+func rankBucket(counts []int64, total int64, phi float64) int {
+	rank := max(int64(math.Ceil(phi*float64(total))), 1)
+	var cum int64
+	for b, c := range counts {
+		if cum += c; cum >= rank {
+			return b
+		}
 	}
-	if sets > 8 {
-		sets = 8
-	}
-	chunk := len(rest) / sets
-	coll := make([][]int, sets)
-	for i := 0; i < sets; i++ {
-		coll[i] = rest[i*chunk : (i+1)*chunk]
-	}
-	res, err := learn.FromSamples(LatencyDomain, weights, coll, learn.Options{
-		K: k, Eps: 0.25, Parallelism: 1,
-	}, true)
+	return len(counts) - 1
+}
+
+// learnOptimal fills snap's learned histogram with the exact v-optimal
+// k-piece tiling of the bucket distribution — the paper's optimum H*,
+// computed directly because the whole pmf is at hand.
+func learnOptimal(snap *LatencySnapshot, counts []int64, k int) {
+	p, err := dist.NewEmpiricalFromCounts(counts).Distribution()
 	if err != nil {
 		return
 	}
-	bounds := res.Tiling.Bounds()
-	values := res.Tiling.Values()
+	h, err := vopt.OptimalL2(p, k)
+	if err != nil {
+		return
+	}
+	bounds := h.Bounds()
+	values := h.Values()
 	pieces := make([]LatencyPiece, 0, len(values))
 	for j := range values {
 		pieces = append(pieces, LatencyPiece{
@@ -369,20 +291,7 @@ func (r *Recorder) learn(snap *LatencySnapshot, items []int, k int) {
 	}
 	snap.Pieces = pieces
 	snap.LearnedK = len(pieces)
-	snap.SamplesUsed = res.SamplesUsed
-
-	// Learn error: squared l2 distance between the learned density and
-	// the merged empirical density over the latency domain.
-	emp := dist.NewEmpirical(items, LatencyDomain)
-	var errL2 float64
-	for j := range values {
-		for i := bounds[j]; i < bounds[j+1]; i++ {
-			p := float64(emp.Occ(i)) / float64(len(items))
-			d := p - values[j]
-			errL2 += d * d
-		}
-	}
-	snap.ErrL2 = errL2
+	snap.ErrL2 = h.L2SqTo(p)
 }
 
 // writePrometheus renders the recorder's series: exact totals, the
@@ -418,13 +327,12 @@ func (r *Recorder) writePrometheus(b *strings.Builder) {
 	}
 	fmt.Fprintf(b, "# TYPE %s_snapshots_total counter\n%s_snapshots_total %d\n", n, n, snap.Snapshots)
 	if len(snap.Pieces) > 0 {
-		fmt.Fprintf(b, "# HELP %s_learned_bucket mass per piece of the k-histogram learned from the latency sketch by the v-optimal learner\n", n)
+		fmt.Fprintf(b, "# HELP %s_learned_bucket mass per piece of the v-optimal k-histogram of the latency bucket counts\n", n)
 		fmt.Fprintf(b, "# TYPE %s_learned_bucket gauge\n", n)
 		for i, p := range snap.Pieces {
 			fmt.Fprintf(b, "%s_learned_bucket{piece=\"%d\",lo_us=\"%d\",hi_us=\"%d\"} %s\n", n, i, p.LoUS, p.HiUS, formatFloat(p.Mass))
 		}
 		fmt.Fprintf(b, "# TYPE %s_learned_pieces gauge\n%s_learned_pieces %d\n", n, n, snap.LearnedK)
 		fmt.Fprintf(b, "# TYPE %s_learned_err_l2 gauge\n%s_learned_err_l2 %s\n", n, n, formatFloat(snap.ErrL2))
-		fmt.Fprintf(b, "# TYPE %s_learned_samples gauge\n%s_learned_samples %d\n", n, n, snap.Samples)
 	}
 }

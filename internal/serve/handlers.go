@@ -670,10 +670,9 @@ type StatsResponse struct {
 	// ResponseCache is the response-byte cache's aggregate counters
 	// (present when the cache has a byte budget).
 	ResponseCache *RespCacheStats `json:"response_cache,omitempty"`
-	// Latency is the latest dogfooded latency snapshot: request latency
-	// sketched by internal/stream and summarized into a k-histogram by
-	// the repo's own v-optimal learner (metrics plane enabled and at
-	// least one snapshot window elapsed).
+	// Latency is the latest dogfooded latency snapshot: exact request
+	// latency bucket counts summarized into their v-optimal k-histogram
+	// (metrics plane enabled and at least one snapshot window elapsed).
 	Latency *obs.LatencySnapshot `json:"latency,omitempty"`
 	// Streams is the streaming-ingest plane: live stream count, sketch
 	// bytes, ingest counters, and per-stream rows.

@@ -2,60 +2,9 @@ package stream
 
 import "math/rand"
 
-// This file adds merge operations to the stream summaries. The serving
-// layer's latency recorders shard their sketches so the hot path never
-// contends on one lock; a snapshot therefore has to merge the per-shard
-// summaries back into one view before anything downstream (quantile
-// queries, the k-histogram learner) can consume them.
-
-// Clone returns an independent copy of the summary: mutating either side
-// afterwards does not affect the other.
-func (g *GK) Clone() *GK {
-	cp := *g
-	cp.entries = append([]gkEntry(nil), g.entries...)
-	return &cp
-}
-
-// Merge folds o into g, so that g summarizes the concatenation of both
-// input streams. Both summaries keep their tuples; a tuple absorbed from
-// the other side widens its rank uncertainty (delta) by the local
-// uncertainty of the summary it is interleaved into, so the merged rank
-// error is bounded by the sum of the inputs' absolute errors:
-// eps_g * n_g + eps_o * n_o <= max(eps) * (n_g + n_o). o is not modified.
-func (g *GK) Merge(o *GK) {
-	if o == nil || len(o.entries) == 0 {
-		return
-	}
-	if len(g.entries) == 0 {
-		g.entries = append(g.entries[:0], o.entries...)
-		g.n += o.n
-		return
-	}
-	merged := make([]gkEntry, 0, len(g.entries)+len(o.entries))
-	i, j := 0, 0
-	for i < len(g.entries) || j < len(o.entries) {
-		var e gkEntry
-		if j >= len(o.entries) || (i < len(g.entries) && g.entries[i].v <= o.entries[j].v) {
-			e = g.entries[i]
-			i++
-			// The next tuple of o that lands after e bounds how far e's
-			// true rank can shift once o's elements are interleaved.
-			if j < len(o.entries) {
-				e.delta += o.entries[j].g + o.entries[j].delta - 1
-			}
-		} else {
-			e = o.entries[j]
-			j++
-			if i < len(g.entries) {
-				e.delta += g.entries[i].g + g.entries[i].delta - 1
-			}
-		}
-		merged = append(merged, e)
-	}
-	g.entries = merged
-	g.n += o.n
-	g.compress()
-}
+// This file merges reservoirs. TStream.Merge folds one stream's sketch
+// into another's, so the merged reservoir must stay a uniform sample of
+// the union of both streams.
 
 // ReservoirView wraps an already-extracted sample of a stream as a
 // read-only reservoir, for feeding MergeReservoirs with per-shard
