@@ -185,6 +185,17 @@ func (e *Empirical) SelfCollisions(iv Interval) int64 {
 	return e.cumColl[iv.Hi] - e.cumColl[iv.Lo]
 }
 
+// CumHits returns the prefix sums behind Hits: entry i is the number of
+// samples below i, so Hits([lo, hi)) = CumHits()[hi] - CumHits()[lo]. The
+// slice has length N()+1 and is the tabulation's own storage; callers
+// must not modify it.
+func (e *Empirical) CumHits() []int64 { return e.cumHits }
+
+// CumCollisions returns the prefix sums behind SelfCollisions, with the
+// same layout and read-only contract as CumHits. Kernels that price many
+// intervals sharing a left end read it directly.
+func (e *Empirical) CumCollisions() []int64 { return e.cumColl }
+
 // FractionIn returns |S_I| / m, the empirical weight estimate of the
 // interval (0 when no samples were tabulated).
 func (e *Empirical) FractionIn(iv Interval) float64 {

@@ -21,8 +21,9 @@ type Result struct {
 	SamplesUsed int64
 	// Iterations is the number of greedy iterations performed (q).
 	Iterations int
-	// CandidatesScanned counts interval cost evaluations across all
-	// iterations, the dominant running-time term.
+	// CandidatesScanned counts the candidate intervals scanned across all
+	// iterations: q times the number of endpoint pairs. Each interval's
+	// cost is estimated once per run and read back in every iteration.
 	CandidatesScanned int64
 	// Ell, R, M expose the derived sample-set sizes (weight samples,
 	// number of collision sets, samples per collision set) for
@@ -121,11 +122,7 @@ func FromTabulated(n int, weights *dist.Empirical, sets []*dist.Empirical, opts 
 			return nil, ErrDomainMismatch
 		}
 	}
-	es := &estimator{
-		weights: weights,
-		sets:    sets,
-		scratch: make([]float64, len(sets)),
-	}
+	es := tabulatedEstimator(weights, sets)
 	q := opts.Iterations
 	if q <= 0 {
 		q = opts.derive(n).q
@@ -134,60 +131,39 @@ func FromTabulated(n int, weights *dist.Empirical, sets []*dist.Empirical, opts 
 }
 
 func runWithEstimator(es *estimator, n, q int, opts Options, fast bool) (*Result, error) {
-	// Candidate endpoints. Full scan: every position. Fast scan: T', the
-	// sampled values and their +-1 neighbours (plus the domain ends so the
-	// scan can always express "everything left/right of a sample").
-	var endpoints []int
-	if fast {
-		endpoints = candidateEndpoints(es.weights, n)
-	} else {
-		endpoints = make([]int, n+1)
-		for i := range endpoints {
-			endpoints[i] = i
-		}
-	}
+	endpoints := scanEndpoints(es.weights, n, fast)
+	workers := par.Workers(opts.workers(), len(endpoints))
+	tab := newCostTable(es, endpoints, workers)
+	defer tab.release()
 
-	part := newPartition(n, es)
+	part := newPartition(n, tab)
 	prio := histogram.NewPriority(n)
 	prio.Add(dist.Whole(n), es.value(dist.Whole(n)))
 
 	var scanned int64
-	// Per-iteration scratch, indexed by domain position.
-	leftIdx := make([]int, n+1)      // tile index containing a
-	leftCost := make([]float64, n+1) // cost of [tileLo, a)
-	endIdx := make([]int, n+1)       // tile index containing b-1
-	endCost := make([]float64, n+1)  // cost of [b, tileHi)
-
-	// Per-worker estimator clones for the parallel phases: the tabulated
-	// sets are shared read-only, only the median scratch is private.
-	workers := par.Workers(opts.workers(), len(endpoints))
-	wes := make([]*estimator, workers)
-	wes[0] = es
-	for w := 1; w < workers; w++ {
-		wes[w] = es.clone()
-	}
+	// Per-iteration scratch, indexed like endpoints: left[i] describes
+	// [tileLo, ends[i]) for the tile containing ends[i], right[j] describes
+	// [ends[j], tileHi) for the tile containing ends[j]-1.
+	clips := make([]clip, 2*len(endpoints))
+	left, right := clips[:len(endpoints)], clips[len(endpoints):]
+	best := make([]scanOutcome, workers)
 
 	for it := 0; it < q; it++ {
-		// Precompute clip costs for every candidate endpoint, in parallel:
-		// the left clip depends only on a and the current partition, the
-		// right clip only on b, and each endpoint owns its scratch slots,
-		// so the loop splits cleanly across workers with identical
-		// results at any worker count.
-		par.ForWorker(workers, len(endpoints), func(w, i int) {
-			e := wes[w]
-			if a := endpoints[i]; a < n {
-				ia := part.tileIndex(a)
-				leftIdx[a] = ia
-				leftCost[a] = e.cost(dist.Interval{Lo: part.bounds[ia], Hi: a})
+		// Each endpoint owns its clip slots, so the loop splits cleanly
+		// across workers with identical results at any worker count.
+		par.ForWorker(workers, len(endpoints), func(_, i int) {
+			pos := endpoints[i]
+			if pos < n {
+				ia := part.tileIndex(pos)
+				left[i] = clip{cost: tab.cost(part.bounds[ia], pos), pre: part.prefix[ia]}
 			}
-			if b := endpoints[i]; b >= 1 {
-				ib := part.tileIndex(b - 1)
-				endIdx[b] = ib
-				endCost[b] = e.cost(dist.Interval{Lo: b, Hi: part.bounds[ib+1]})
+			if pos >= 1 {
+				ib := part.tileIndex(pos - 1)
+				right[i] = clip{cost: tab.cost(pos, part.bounds[ib+1]), pre: part.prefix[ib+1]}
 			}
 		})
 
-		sc := scanCandidates(wes, part, endpoints, n, leftIdx, endIdx, leftCost, endCost)
+		sc := scanCandidates(tab, left, right, best)
 		scanned += sc.scanned
 		bestA, bestB := sc.a, sc.b
 		if bestA < 0 {
@@ -195,9 +171,9 @@ func runWithEstimator(es *estimator, n, q int, opts Options, fast bool) (*Result
 		}
 		// Capture the pre-commit neighbour extents for the priority
 		// histogram mirror: I_L and I_R are clips of the tiles J cuts.
-		loA := part.bounds[leftIdx[bestA]]
-		hiB := part.bounds[endIdx[bestB]+1]
-		part.commit(bestA, bestB, es)
+		loA := part.bounds[part.tileIndex(bestA)]
+		hiB := part.bounds[part.tileIndex(bestB-1)+1]
+		part.commit(bestA, bestB, tab)
 
 		// Mirror the commit into the priority histogram, paper-style: the
 		// chosen J and the recomputed neighbours I_L, I_R all enter at the
@@ -229,6 +205,21 @@ func runWithEstimator(es *estimator, n, q int, opts Options, fast bool) (*Result
 		R:                 len(es.sets),
 		M:                 setSize(es.sets),
 	}, nil
+}
+
+// scanEndpoints returns the candidate endpoints. Full scan: every
+// position. Fast scan: T', the sampled values and their +-1 neighbours
+// (plus the domain ends so the scan can always express "everything
+// left/right of a sample").
+func scanEndpoints(weights *dist.Empirical, n int, fast bool) []int {
+	if fast {
+		return candidateEndpoints(weights, n)
+	}
+	endpoints := make([]int, n+1)
+	for i := range endpoints {
+		endpoints[i] = i
+	}
+	return endpoints
 }
 
 // candidateEndpoints builds the Theorem 2 endpoint set: every distinct

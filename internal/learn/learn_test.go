@@ -265,8 +265,10 @@ func TestEstimatorStatistics(t *testing.T) {
 	if got := es.y(iv); math.Abs(got-0.75) > 0.02 {
 		t.Errorf("y = %v, want ~0.75", got)
 	}
-	// z estimates sum of squared masses: 0.25 + 0.0625 = 0.3125.
-	if got := es.z(iv); math.Abs(got-0.3125) > 0.02 {
+	// z estimates sum of squared masses: 0.25 + 0.0625 = 0.3125. cost is
+	// z - y^2/|I|, so z is recovered from it exactly up to rounding.
+	y := es.y(iv)
+	if got := es.cost(iv) + y*y/float64(iv.Len()); math.Abs(got-0.3125) > 0.02 {
 		t.Errorf("z = %v, want ~0.3125", got)
 	}
 	// cost approximates SSE of best constant on the interval:
@@ -291,11 +293,13 @@ func TestPartitionCommit(t *testing.T) {
 	d := dist.Uniform(16)
 	s := dist.NewSampler(d, rand.New(rand.NewSource(17)))
 	es := newEstimator(s, params{xi: 0.2, q: 1, ell: 2000, r: 5, m: 1000}, 1, 1)
-	part := newPartition(16, es)
+	tab := newCostTable(es, []int{0, 1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12, 13, 14, 15, 16}, 1)
+	defer tab.release()
+	part := newPartition(16, tab)
 	if part.tiles() != 1 {
 		t.Fatalf("fresh partition has %d tiles", part.tiles())
 	}
-	part.commit(4, 9, es)
+	part.commit(4, 9, tab)
 	wantBounds := []int{0, 4, 9, 16}
 	if len(part.bounds) != len(wantBounds) {
 		t.Fatalf("bounds = %v, want %v", part.bounds, wantBounds)
@@ -307,14 +311,14 @@ func TestPartitionCommit(t *testing.T) {
 	}
 	// Committing an interval flush against the domain edge produces no
 	// empty clips.
-	part.commit(0, 4, es)
+	part.commit(0, 4, tab)
 	for i := 1; i < len(part.bounds); i++ {
 		if part.bounds[i] <= part.bounds[i-1] {
 			t.Fatalf("degenerate tile in bounds %v", part.bounds)
 		}
 	}
 	// Spanning commit removes interior boundaries.
-	part.commit(1, 15, es)
+	part.commit(1, 15, tab)
 	if got := part.tiles(); got != 3 {
 		t.Fatalf("after spanning commit: %d tiles, want 3 (%v)", got, part.bounds)
 	}

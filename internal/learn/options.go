@@ -61,9 +61,9 @@ type Options struct {
 	// multi-gigabyte runs when Eps is tiny. Zero means no cap.
 	MaxSamplesPerSet int
 	// Parallelism splits the learner's heavy phases — drawing and
-	// tabulating the sample sets (when the sampler is forkable), the
-	// per-iteration clip-cost precompute, and the candidate scan — across
-	// this many goroutines. Results are bit-identical to the serial run
+	// tabulating the sample sets (when the sampler is forkable), filling
+	// the interval cost table, the per-iteration clip-cost precompute,
+	// and the candidate scan — across this many goroutines. Results are bit-identical to the serial run
 	// at every worker count: sample streams are assigned per set, not per
 	// worker, and scan ties break toward the lexicographically smallest
 	// interval. Zero or one means serial.

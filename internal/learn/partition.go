@@ -10,7 +10,7 @@ import (
 // histogram built so far: sorted tile boundaries, the per-element value of
 // each tile, each tile's estimated cost c(I) = z_I - y_I^2/|I|, and prefix
 // sums of the costs so that "remove every tile intersecting [a, b)" is an
-// O(1) range subtraction during the candidate scan.
+// O(1) range subtraction during the candidate scan (see scanCandidates).
 type partition struct {
 	n      int
 	bounds []int     // 0 = bounds[0] < ... < bounds[t] = n
@@ -26,12 +26,12 @@ type partition struct {
 // partition with a value choice that can only reduce the final error and
 // leaves the greedy objective, which depends only on boundaries,
 // untouched.)
-func newPartition(n int, es *estimator) *partition {
+func newPartition(n int, tab *costTable) *partition {
 	p := &partition{
 		n:      n,
 		bounds: []int{0, n},
-		values: []float64{es.value(dist.Whole(n))},
-		costs:  []float64{es.cost(dist.Whole(n))},
+		values: []float64{tab.es.value(dist.Whole(n))},
+		costs:  []float64{tab.cost(0, n)},
 	}
 	p.rebuildPrefix()
 	return p
@@ -59,27 +59,12 @@ func (p *partition) tileIndex(pos int) int {
 	return sort.SearchInts(p.bounds, pos+1) - 1
 }
 
-// tile returns tile j's interval.
-func (p *partition) tile(j int) dist.Interval {
-	return dist.Interval{Lo: p.bounds[j], Hi: p.bounds[j+1]}
-}
-
-// candidateDelta returns the change in total cost from committing the
-// candidate interval [a, b): every tile intersecting it is removed and
-// replaced by the left clip, the candidate itself, and the right clip.
-// ia and ib are the tile indices containing a and b-1, and leftCost /
-// rightCost are the precomputed clip costs (cost of [bounds[ia], a) and
-// [b, bounds[ib+1])).
-func (p *partition) candidateDelta(a, b, ia, ib int, leftCost, midCost, rightCost float64) float64 {
-	removed := p.prefix[ib+1] - p.prefix[ia]
-	return leftCost + midCost + rightCost - removed
-}
-
 // commit replaces the tiles intersecting [a, b) with (up to) three new
 // tiles: the left clip, [a, b) itself, and the right clip, assigning each
 // a freshly estimated value and cost, exactly as Algorithm 1 re-adds the
-// recomputed neighbour intervals I_L and I_R alongside J.
-func (p *partition) commit(a, b int, es *estimator) {
+// recomputed neighbour intervals I_L and I_R alongside J. Every new
+// tile's bounds are endpoints, so its cost comes from the table.
+func (p *partition) commit(a, b int, tab *costTable) {
 	ia := p.tileIndex(a)
 	ib := p.tileIndex(b - 1)
 	loA := p.bounds[ia]
@@ -99,8 +84,8 @@ func (p *partition) commit(a, b int, es *estimator) {
 			return
 		}
 		newBounds = append(newBounds, iv.Hi)
-		newValues = append(newValues, es.value(iv))
-		newCosts = append(newCosts, es.cost(iv))
+		newValues = append(newValues, tab.es.value(iv))
+		newCosts = append(newCosts, tab.cost(iv.Lo, iv.Hi))
 	}
 	appendTile(dist.Interval{Lo: loA, Hi: a}) // left clip I_L
 	appendTile(dist.Interval{Lo: a, Hi: b})   // the committed interval J

@@ -34,9 +34,10 @@ func TestScanOutcomeBetter(t *testing.T) {
 // A single worker run through the parallel entry point must equal the
 // plain serial path.
 func TestScanSingleWorkerIsSerial(t *testing.T) {
-	// Covered structurally: workers <= 1 dispatches to scanRange with
-	// stride 1. This test pins the dispatch so refactors cannot silently
-	// change it: the candidate counts must match a hand count.
+	// Covered structurally: with one worker, scanCandidates' par.ForWorker
+	// runs every row in order on the calling goroutine. This test pins
+	// the candidate accounting so refactors cannot silently change it:
+	// the count must match a hand count.
 	weights := []int{0, 1, 2, 3}
 	sets := [][]int{{0, 1, 2, 3}}
 	res, err := FromSamples(4, weights, sets, Options{K: 1, Eps: 0.5, Iterations: 1}, false)
